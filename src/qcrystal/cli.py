@@ -83,7 +83,12 @@ class RunConfig:
 
 
 def default_dim(n: int) -> int:
-    """Section size with sub-second dense norms: 8 up to rank 2, 4 beyond."""
+    """Default section size: 8 up to rank 2, 4 beyond.
+
+    Block section norms keep a rank-3 deficit table at d = 4 near one second;
+    d = 8 there (dimension 262,144) is within the norm budget but takes tens
+    of seconds, most of it in eigensolves of blocks up to size 256.
+    """
     return 8 if n <= 2 else 4
 
 

@@ -26,11 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 COEFF_EPS = 1e-15
-DENSE_NORM_DIM = 1024  # dense Gram eigensolve below, power iteration above
-POWER_TOL = 1e-12
-POWER_MAX_ITERS = 10_000
 SECTION_MAX_DIM = 4096
-APPLY_MAX_DIM = 1 << 22
+APPLY_MAX_DIM = 1 << 22  # norm budget: largest d-box dimension norm_bounds takes
 
 
 class Primitive(enum.Enum):
@@ -351,39 +348,91 @@ def _largest_singular_value(M: np.ndarray) -> float:
     return math.sqrt(max(float(ev[-1]), 0.0))
 
 
-def _power_iteration_norm(ts: TensorTermSum, d: int) -> float:
-    """Deterministic largest-singular-value estimate via the Gram operator.
+def _group_cells(
+    terms: list[Term], d: int, q: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero cells (rows, cols, values) of one shift group on the d-box.
 
-    Always a valid lower bound for the section norm (it is a Rayleigh value).
+    Every live term of a group sends column beta to the same row beta + sigma,
+    so duplicate cells merge by summing the terms column by column.
     """
-    dim = d**ts.slots
-    if dim > APPLY_MAX_DIM:
-        raise RuntimeError(f"norm budget exceeded: dimension {dim}")
-    adj = ts.adjoint()
-    fwd = [(c, *_term_columns(w, d, ts.q)) for c, w in ts.terms]
-    bwd = [(c, *_term_columns(w, d, adj.q)) for c, w in adj.terms]
+    dim = d ** len(terms[0][1])
+    total = np.zeros(dim, dtype=np.complex128)
+    target = np.full(dim, -1, dtype=np.int64)
+    for coeff, words in terms:
+        rows, weights = _term_columns(words, d, q)
+        ok = rows >= 0
+        total[ok] += coeff * weights[ok]
+        target[ok] = rows[ok]
+    cols = np.flatnonzero((target >= 0) & (total != 0))
+    return target[cols], cols, total[cols]
 
-    def matvec(cols_data, v):
-        out = np.zeros(dim, dtype=np.complex128)
-        for c, rows, weights in cols_data:
-            ok = rows >= 0
-            np.add.at(out, rows[ok], c * weights[ok] * v[ok])
-        return out
 
-    v = np.ones(dim, dtype=np.complex128) / math.sqrt(dim)
-    sigma = 0.0
-    for _ in range(POWER_MAX_ITERS):
-        u = matvec(fwd, v)
-        nu = float(np.linalg.norm(u))  # = ||A v|| with ||v|| = 1, a lower bound
-        if nu == 0.0:
-            return sigma
-        w = matvec(bwd, u)
-        nw = float(np.linalg.norm(w))
-        if abs(nu - sigma) <= POWER_TOL * max(1.0, nu) or nw == 0.0:
-            return nu
-        sigma = nu
-        v = w / nw
-    return sigma
+def _components(u: np.ndarray, v: np.ndarray, nodes: int) -> np.ndarray:
+    """Root label of each edge (u, v) in the graph on ``nodes`` vertices.
+
+    Hook-and-jump union: every root hooks under the smallest root it shares an
+    edge with, then pointers jump to their roots.  Pointers only decrease, so
+    each round either merges two trees or ends the loop.
+    """
+    parent = np.arange(nodes)
+    while True:
+        pu, pv = parent[u], parent[v]
+        if np.array_equal(pu, pv):
+            return pu
+        low = np.minimum(pu, pv)
+        np.minimum.at(parent, pu, low)
+        np.minimum.at(parent, pv, low)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+
+
+def _local_index(
+    node: np.ndarray, comp: np.ndarray, blocks: int, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's node index inside its block, and the node count per block."""
+    keys, inverse = np.unique(comp * dim + node, return_inverse=True)
+    owner = keys // dim
+    counts = np.bincount(owner, minlength=blocks)
+    starts = np.cumsum(counts) - counts
+    return inverse - starts[comp], counts
+
+
+def _block_section_norm(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dim: int
+) -> float:
+    """Exact norm of the d-box section given by its nonzero cells.
+
+    The section is block-diagonal over the connected components of its
+    bipartite column/row graph.  Blocks of one shape are stacked and share one
+    batched eigensolve of their Gram matrices (the smaller of M*M and MM*).
+    """
+    if values.size == 0:
+        return 0.0
+    roots = _components(cols, rows + dim, 2 * dim)
+    _, comp = np.unique(roots, return_inverse=True)
+    blocks = int(comp.max()) + 1
+    local_row, height = _local_index(rows, comp, blocks, dim)
+    local_col, width = _local_index(cols, comp, blocks, dim)
+    base = int(width.max()) + 1
+    shapes, shape_of = np.unique(height * base + width, return_inverse=True)
+    cell_shape = shape_of[comp]
+    cell_order = np.argsort(cell_shape, kind="stable")
+    edges = np.searchsorted(cell_shape[cell_order], np.arange(len(shapes) + 1))
+    best = 0.0
+    for s, key in enumerate(shapes):
+        h, w = divmod(int(key), base)
+        idx = cell_order[edges[s] : edges[s + 1]]
+        members, slot = np.unique(comp[idx], return_inverse=True)
+        stack = np.zeros((members.size, h, w), dtype=np.complex128)
+        stack[slot, local_row[idx], local_col[idx]] = values[idx]
+        adj = stack.conj().transpose(0, 2, 1)
+        gram = adj @ stack if h >= w else stack @ adj
+        best = max(best, float(np.linalg.eigvalsh(gram)[:, -1].max()))
+    return math.sqrt(max(best, 0.0))
 
 
 def _tail_envelope(word: FactorWord, m_start: int, q: float) -> tuple[float, float]:
@@ -441,17 +490,17 @@ def _group_weight_sup(
     sigma: tuple[int, ...],
     d: int,
     q: float,
-    outside_only: bool,
-) -> float:
-    """Sup of the grouped diagonal weight, everywhere or outside the d-box.
+) -> tuple[float, float]:
+    """Sups of the grouped diagonal weight outside the d-box and everywhere.
 
     Finite indices are evaluated exactly, indices beyond the grid through
     interval envelopes; complex term segments are summed as center +- radius,
-    so cancellation between terms survives into the bound.
+    so cancellation between terms survives into the bound.  Both sups are
+    read from one interval grid.
     """
     L = len(sigma)
     if L == 0:
-        return 0.0
+        return 0.0, 0.0
     reach = [
         max(len(words[s].factors) for _, words in terms) for s in range(L)
     ]
@@ -476,8 +525,6 @@ def _group_weight_sup(
         center += coeff * (lo + hi) / 2.0
         radius += abs(coeff) * (hi - lo) / 2.0
     bound = np.abs(center) + radius
-    if not outside_only:
-        return float(bound.max())
     # entries outside the box: some source or target index >= d
     mask = np.zeros(shape, dtype=bool)
     for s in range(L):
@@ -486,20 +533,34 @@ def _group_weight_sup(
         expand = [None] * L
         expand[s] = slice(None)
         mask |= axis[tuple(expand)]
-    return float(bound[mask].max()) if mask.any() else 0.0
+    outside = float(bound[mask].max()) if mask.any() else 0.0
+    return outside, float(bound.max())
 
 
 def norm_bounds(ts: TensorTermSum, d: int) -> tuple[float, float]:
     """Certified two-sided bounds lower <= ||A|| <= upper.
 
     The lower bound is the exact norm of the d-box section (norms of sections
-    increase to the operator norm).  Two rigorous upper certificates are
-    formed and the smaller wins: the section norm plus, per net-shift-vector
-    group of terms, an interval-arithmetic sup of the grouped weight outside
-    the box (tight when outgoing diagonals decay or vanish), and the sum over
-    groups of each group's full weight sup (tight when a single group carries
-    persistent far-out weight).
+    increase to the operator norm).  Each term moves a multi-index by its
+    net-shift vector, so the section is block-diagonal over the connected
+    components of its sparse cells; the norm is the largest of small dense
+    block norms, and the d^L x d^L matrix is never built.  A single shift
+    group has one cell per column, so its section norm is the largest column
+    weight.  The d-box dimension d^L may not exceed ``APPLY_MAX_DIM`` (the
+    norm budget); a larger one raises RuntimeError before any allocation.
+
+    Two rigorous upper certificates are formed and the smaller wins: the
+    section norm plus, per net-shift-vector group of terms, an
+    interval-arithmetic sup of the grouped weight outside the box (tight when
+    outgoing diagonals decay or vanish), and the sum over groups of each
+    group's full weight sup (tight when a single group carries persistent
+    far-out weight).
     """
+    dim = d**ts.slots
+    if dim > APPLY_MAX_DIM:
+        raise RuntimeError(
+            f"norm budget exceeded: dimension {dim} > {APPLY_MAX_DIM}"
+        )
     if ts.is_zero():
         return 0.0, 0.0
     if ts.slots == 0:
@@ -508,37 +569,19 @@ def norm_bounds(ts: TensorTermSum, d: int) -> tuple[float, float]:
     groups: dict[tuple[int, ...], list[Term]] = {}
     for term in ts.terms:
         groups.setdefault(_term_shift_vector(term[1]), []).append(term)
-
-    dim = d**ts.slots
-    if len(groups) == 1:
-        # a single generalized weighted shift: section norm = max column weight
-        (sigma, terms), = groups.items()
-        best = 0.0
-        cols = np.arange(dim)
-        total = np.zeros(dim, dtype=np.complex128)
-        alive = np.zeros(dim, dtype=bool)
-        for coeff, words in terms:
-            rows, weights = _term_columns(words, d, ts.q)
-            ok = rows >= 0
-            total[ok] += coeff * weights[ok]
-            alive |= ok
-        lower = float(np.abs(total[alive]).max()) if alive.any() else 0.0
-        tail = _group_weight_sup(terms, sigma, d, ts.q, outside_only=True)
-        return lower, max(lower, tail)
-
-    if dim <= DENSE_NORM_DIM:
-        lower = _largest_singular_value(section(ts, d))
-    else:
-        lower = _power_iteration_norm(ts, d)
     ordered = sorted(groups.items())
-    tail = sum(
-        _group_weight_sup(terms, sigma, d, ts.q, outside_only=True)
-        for sigma, terms in ordered
-    )
-    total = sum(
-        _group_weight_sup(terms, sigma, d, ts.q, outside_only=False)
-        for sigma, terms in ordered
-    )
+    cells = [_group_cells(terms, d, ts.q) for _, terms in ordered]
+    sups = [_group_weight_sup(terms, sigma, d, ts.q) for sigma, terms in ordered]
+
+    if len(groups) == 1:
+        values = cells[0][2]
+        lower = float(np.abs(values).max()) if values.size else 0.0
+        return lower, max(lower, sups[0][0])
+
+    rows, cols, values = (np.concatenate(parts) for parts in zip(*cells))
+    lower = _block_section_norm(rows, cols, values, dim)
+    tail = sum(outside for outside, _ in sups)
+    total = sum(full for _, full in sups)
     return lower, max(lower, min(lower + tail, total))
 
 

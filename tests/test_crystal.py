@@ -12,6 +12,7 @@ from qcrystal.coxeter import (
     ReducedWord,
     bruhat_leq,
     longest_permutation,
+    longest_word,
     normal_form,
 )
 from qcrystal.crystal import (
@@ -28,7 +29,7 @@ from qcrystal.crystal import (
     recover_torus_label,
     subword_embedding,
 )
-from qcrystal.fock import norm_bounds, section
+from qcrystal.fock import _largest_singular_value, norm_bounds, section
 from qcrystal.reps import RepSpec, TorusPoint, character, rep_image, scaled_rep_image
 
 W0_WORD = ReducedWord((1, 2, 1), 2)
@@ -99,6 +100,47 @@ def test_deficit_table_serializations():
     data = deficit_table_json(reports)
     assert '"schema": "qcrystal.deficit_table.v1"' in data
     assert deficit_table_json(reports) == data  # deterministic bytes
+
+
+# w0, n = 2, q = 0.3, d = 8 brackets as computed with dense section norms
+W0_N2_BRACKETS = {
+    (1, 1): (0.31330598792908876, 0.38999999999999996),
+    (1, 2): (0.42028104798915733, 0.6000000000000001),
+    (1, 3): (0.30000000000000004, 0.30000000000000004),
+    (2, 1): (0.42028104798915744, 0.6000000000000001),
+    (2, 2): (0.32790310136804657, 0.43191532671057936),
+    (2, 3): (0.2999999928255464, 0.30000000000000004),
+    (3, 1): (0.3, 0.3),
+    (3, 2): (0.2999999928255464, 0.30000000000000004),
+    (3, 3): (0.04606079858305434, 0.04606079858305434),
+}
+
+
+def test_deficit_brackets_pinned_n2():
+    report = convergence_deficit(W0_WORD, 0.3, 8)
+    assert len(report.cells) == len(W0_N2_BRACKETS)
+    for key, (lo, up) in report.cells:
+        ref_lo, ref_up = W0_N2_BRACKETS[key]
+        assert abs(lo - ref_lo) < 1e-12
+        assert abs(up - ref_up) < 1e-12
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_block_lower_matches_dense_oracle_n2(d):
+    spec = RepSpec(2, 0.3, TorusPoint.base(2), W0_WORD)
+    for i, j in generator_indices(2):
+        for ts in (deficit_operator(W0_WORD, 0.3, i, j), rep_image(spec, i, j)):
+            lo, _ = norm_bounds(ts, d)
+            assert abs(lo - _largest_singular_value(section(ts, d))) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_block_lower_matches_dense_oracle_n3(d):
+    word = ReducedWord(longest_word(3).letters(), 3)
+    for i, j in ((1, 2), (1, 3), (2, 2), (3, 3)):
+        ts = deficit_operator(word, 0.3, i, j)
+        lo, _ = norm_bounds(ts, d)
+        assert abs(lo - _largest_singular_value(section(ts, d))) < 1e-12
 
 
 def test_braid_check_passes_at_crystal_point():

@@ -1,11 +1,14 @@
 """Operator layer: primitive shifts, tensor term sums, sections, norm brackets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qcrystal.fock import (
+    APPLY_MAX_DIM,
+    SECTION_MAX_DIM,
     FactorWord,
     Primitive,
     TensorTermSum,
@@ -15,6 +18,7 @@ from qcrystal.fock import (
     norm_bounds,
     primitive_step,
     section,
+    _largest_singular_value,
 )
 
 S = Primitive.SHIFT
@@ -260,8 +264,8 @@ def test_norm_fast_path_matches_dense():
     assert abs(lo - dense) < 1e-12
 
 
-def test_power_iteration_path():
-    # two shift groups in dimension > 1024 exercise the iterative branch
+def test_block_norm_path_above_old_dense_cutoff():
+    # two shift groups at dimension 1600 go through the block path
     q = 0.5
     ts = TensorTermSum(
         2, q, ((1.0, (FactorWord((QN,)), FactorWord((QN,)))),
@@ -271,6 +275,57 @@ def test_power_iteration_path():
     assert 1.0 <= lo <= up
     assert lo >= math.sqrt(1 + 0.25 * q**4) - 1e-9
     assert norm_bounds(ts, 40) == (lo, up)  # deterministic
+    assert 40**2 <= SECTION_MAX_DIM
+    assert abs(lo - _largest_singular_value(section(ts, 40))) < 1e-12
+
+
+def _multi_group_sums():
+    q = 0.35
+    yield TensorTermSum(
+        2, q, ((1.0, (FactorWord((S, SQ)), FactorWord((QN,)))),
+               (-0.5j, (FactorWord((SS,)), FactorWord((P0,)))),
+               (2.0, (FactorWord(()), FactorWord((QN1,)))))
+    )
+    # a chain coupling three groups, with complex coefficients
+    yield TensorTermSum(
+        2, q, ((1.0 + 1.0j, (FactorWord((S,)), FactorWord((SS,)))),
+               (0.7, (FactorWord((SS, QN)), FactorWord((S,)))),
+               (-0.3j, (FactorWord((SQ,)), FactorWord(()))))
+    )
+    # three slots, rectangular blocks at the box edge
+    yield TensorTermSum(
+        3, q, ((1.0, (FactorWord((S,)), FactorWord(()), FactorWord((P0,)))),
+               (0.5, (FactorWord(()), FactorWord((SS,)), FactorWord((QN,)))),
+               (-1.0, (FactorWord((QN1,)), FactorWord((S, SQ)), FactorWord((SS,)))))
+    )
+    # terms that cancel on part of the box: S sqrt(1-q^{2N}) - S plus S*
+    yield one_slot(q, (1.0, (S, SQ)), (-1.0, (S,)), (0.25, (SS,)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_block_norm_matches_dense_oracle(d):
+    for ts in _multi_group_sums():
+        lo, up = norm_bounds(ts, d)
+        assert abs(lo - _largest_singular_value(section(ts, d))) < 1e-12
+        assert lo <= up
+
+
+def test_norm_budget_guard_before_allocation():
+    # a single-group operator whose box could not even be allocated
+    ts = TensorTermSum.identity(4, 0.3)
+    d = 1 << 16
+    assert d**4 > APPLY_MAX_DIM
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="budget"):
+            norm_bounds(ts, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(RuntimeError, match="budget"):
+        norm_bounds(one_slot(0.5, (1.0, (S,))), APPLY_MAX_DIM + 1)
+    assert norm_bounds(one_slot(0.5, (1.0, (S,))), 64) == (1.0, 1.0)
 
 
 def test_section_budget_guard():
