@@ -11,15 +11,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .coalgebra import coproduct_middle_indices, coproduct_paths
+from .coalgebra import coproduct_paths, stepwise_paths
 from .coxeter import (
     Permutation,
     ReducedWord,
@@ -51,7 +49,6 @@ from .spectrum import (
 
 VERIFY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
-THREADS_ENV = "QCRYSTAL_THREADS"
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,6 @@ class RunConfig:
     torus_m: int = 1
     fmt: str = "json"
     out: str | None = None
-    threads: int = 1
     mutate: bool = False
 
     def __post_init__(self) -> None:
@@ -78,8 +74,6 @@ class RunConfig:
                 raise ValueError(f"q must lie in [0, 1): {q}")
         if self.torus_m < 1:
             raise ValueError("torus grid must have at least one point per axis")
-        if self.threads < 1:
-            raise ValueError("thread budget must be positive")
 
 
 def default_dim(n: int) -> int:
@@ -90,13 +84,6 @@ def default_dim(n: int) -> int:
     of seconds, most of it in eigensolves of blocks up to size 256.
     """
     return 8 if n <= 2 else 4
-
-
-def _resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get(THREADS_ENV)
-    return int(env) if env else 1
 
 
 def _parse_letters(text: str) -> tuple[int, ...]:
@@ -136,23 +123,6 @@ def _braid_suite(cfg: RunConfig) -> dict:
     }
 
 
-def _expand_stepwise(
-    i: int, j: int, legs: int, n: int, mode: str, leftward: bool
-) -> list[tuple[int, ...]]:
-    """Iterate the one-step coproduct one leg at a time, from either end."""
-    if legs == 1:
-        return [(i, j)]
-    out: list[tuple[int, ...]] = []
-    for k in coproduct_middle_indices(i, j, n, mode):
-        if leftward:
-            for rest in _expand_stepwise(k, j, legs - 1, n, mode, leftward):
-                out.append((i,) + rest)
-        else:
-            for rest in _expand_stepwise(i, k, legs - 1, n, mode, leftward):
-                out.append(rest + (j,))
-    return out
-
-
 def _coassociativity_suite(cfg: RunConfig) -> dict:
     mismatches = 0
     cases = 0
@@ -160,8 +130,8 @@ def _coassociativity_suite(cfg: RunConfig) -> dict:
         for i, j in generator_indices(cfg.n):
             for legs in (2, 3):
                 direct = sorted(coproduct_paths(i, j, legs, cfg.n, mode))
-                left = sorted(_expand_stepwise(i, j, legs, cfg.n, mode, True))
-                right = sorted(_expand_stepwise(i, j, legs, cfg.n, mode, False))
+                left = sorted(stepwise_paths(i, j, legs, cfg.n, mode, True))
+                right = sorted(stepwise_paths(i, j, legs, cfg.n, mode, False))
                 cases += 1
                 if not direct == left == right:
                     mismatches += 1
@@ -321,15 +291,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         d=args.dim if args.dim is not None else default_dim(n),
         q_values=tuple(args.q) if args.q else (0.0, 0.3),
         out=args.out,
-        threads=_resolve_threads(args.threads),
         mutate=args.self_test_mutation,
     )
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [(name, pool.submit(fn, cfg)) for name, fn in _SUITES]
-            results = {name: fut.result() for name, fut in futures}
-    else:
-        results = {name: fn(cfg) for name, fn in _SUITES}
+    results = {name: fn(cfg) for name, fn in _SUITES}
     passed = all(r["passed"] for r in results.values())
     report = {
         "schema": "qcrystal.verify.v1",
@@ -338,7 +302,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "mutated": cfg.mutate,
             "n": cfg.n,
             "q_values": list(cfg.q_values),
-            "threads": cfg.threads,
         },
         "passed": passed,
         "suites": results,
@@ -428,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--dim", type=int, help="section size, default 8 (rank 2) or 4")
     p.add_argument("--q", action="append", type=float, help="default 0.0 and 0.3")
-    p.add_argument("--threads", type=int, help=f"default ${THREADS_ENV} or 1")
     p.add_argument(
         "--self-test-mutation",
         action="store_true",

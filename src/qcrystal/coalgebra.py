@@ -54,6 +54,34 @@ def coproduct_paths(i: int, j: int, legs: int, n: int, mode: Mode) -> list[Index
     return paths
 
 
+def stepwise_paths(
+    i: int, j: int, legs: int, n: int, mode: Mode, leftward: bool
+) -> list[IndexPath]:
+    """Iterate the one-step coproduct one leg at a time, from either end.
+
+    ``leftward`` splits off the first leg, otherwise the last one.  By
+    coassociativity both orders give the paths of ``coproduct_paths``; this
+    recursion is the independent oracle for that.
+
+    >>> stepwise_paths(3, 1, 2, 2, "crystal", False)
+    [(3, 1, 1), (3, 2, 1), (3, 3, 1)]
+    """
+    if legs < 1:
+        raise ValueError("need at least one leg")
+    if legs == 1:
+        _check(i, j, n)
+        return [(i, j)]
+    out: list[IndexPath] = []
+    for k in coproduct_middle_indices(i, j, n, mode):
+        if leftward:
+            for rest in stepwise_paths(k, j, legs - 1, n, mode, leftward):
+                out.append((i,) + rest)
+        else:
+            for rest in stepwise_paths(i, k, legs - 1, n, mode, leftward):
+                out.append(rest + (j,))
+    return out
+
+
 def is_monotone(path: IndexPath) -> bool:
     steps = [b - a for a, b in zip(path, path[1:])]
     return all(s >= 0 for s in steps) or all(s <= 0 for s in steps)

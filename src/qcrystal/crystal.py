@@ -13,16 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coalgebra import coproduct_paths
 from .coxeter import Permutation, ReducedWord, bruhat_leq, normal_form
 from .fock import TensorTermSum, norm_bounds, section
 from .reps import (
     RepSpec,
     TorusPoint,
     character,
+    image_words,
     rep_image,
     scaled_rep_image,
-    simple_generator_image,
 )
 
 ENTRYWISE_TOL = 1e-12
@@ -333,30 +332,18 @@ def factorization_check(
     kept = subword_embedding(u, w)
     full = normal_form(w).letters()
     kept_letters = tuple(full[p - 1] for p in kept)
-    deleted = [p for p in range(1, len(full) + 1) if p not in kept]
     u_spec = RepSpec(n, q, t, ReducedWord(kept_letters, n))
-    mode = u_spec.mode
+    # the full word of w, with each deleted leg forced to the counit
+    collapsed_letters = tuple(
+        letter if p in kept else None for p, letter in enumerate(full, start=1)
+    )
     max_residual = 0.0
     sums_equal = True
     for i, j in generator_indices(n):
         direct = rep_image(u_spec, i, j)
-        terms = []
         coeff = character(t, i, i)
-        if full:
-            for path in coproduct_paths(i, j, len(full), n, mode):
-                if any(path[p - 1] != path[p] for p in deleted):
-                    continue
-                words = []
-                for p in kept:
-                    wd = simple_generator_image(full[p - 1], path[p - 1], path[p], q, n)
-                    if wd is None:
-                        break
-                    words.append(wd)
-                else:
-                    terms.append((coeff, tuple(words)))
-        elif i == j:
-            terms.append((coeff, ()))
-        collapsed = TensorTermSum(len(kept), q, tuple(terms))
+        words = image_words(collapsed_letters, i, j, n, q == 0.0)
+        collapsed = TensorTermSum(len(kept), q, tuple((coeff, ws) for ws in words))
         sums_equal = sums_equal and collapsed == direct
         residual = np.abs(section(collapsed, d) - section(direct, d))
         if residual.size:

@@ -19,6 +19,7 @@ matrix sections are exact.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,6 +29,8 @@ import numpy as np
 COEFF_EPS = 1e-15
 SECTION_MAX_DIM = 4096
 APPLY_MAX_DIM = 1 << 22  # norm budget: largest d-box dimension norm_bounds takes
+WORD_COLUMNS_CACHE_SIZE = 1024
+WORD_COLUMNS_CACHE_MAX_D = 256
 
 
 class Primitive(enum.Enum):
@@ -274,7 +277,19 @@ def apply(ts: TensorTermSum, beta: tuple[int, ...]) -> dict[tuple[int, ...], com
 
 
 def _word_columns(word: FactorWord, d: int, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column targets (or -1) and weights of a word on indices 0..d-1."""
+    """Per-column targets (or -1) and weights of a word on indices 0..d-1.
+
+    The arrays are read-only: up to ``WORD_COLUMNS_CACHE_MAX_D`` they come
+    from a cache, whose size that bound keeps to a few megabytes.
+    """
+    if d <= WORD_COLUMNS_CACHE_MAX_D:
+        return _cached_word_columns(word, d, q)
+    return _build_word_columns(word, d, q)
+
+
+def _build_word_columns(
+    word: FactorWord, d: int, q: float
+) -> tuple[np.ndarray, np.ndarray]:
     tgt = np.full(d, -1, dtype=np.int64)
     wt = np.zeros(d, dtype=np.complex128)
     for m in range(d):
@@ -282,7 +297,14 @@ def _word_columns(word: FactorWord, d: int, q: float) -> tuple[np.ndarray, np.nd
         if step is not None:
             wt[m] = step[0]
             tgt[m] = step[1]
+    tgt.flags.writeable = False
+    wt.flags.writeable = False
     return tgt, wt
+
+
+_cached_word_columns = functools.lru_cache(maxsize=WORD_COLUMNS_CACHE_SIZE)(
+    _build_word_columns
+)
 
 
 def _term_columns(

@@ -15,14 +15,21 @@ A torus point t contributes the diagonal character chi_t, and a reduced word
 w = s_{i_1} .. s_{i_L} contributes one letter representation per slot; the
 composite is the convolution of all of them along the coproduct, which
 concretely is a sum over coproduct index paths with one factor word per slot.
+
+Only those cells are nonzero, so ``image_words`` expands a path leg by leg
+through them (at q = 0 only weakly monotone towards the target) instead of
+enumerating all (n+1)^(L-1) generic paths and discarding the dead ones.  The
+word tuples depend on q only through q == 0; they are memoized on
+(letters, i, j, n, q == 0) and each image is rebuilt with its torus character.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
-from .coalgebra import Mode, coproduct_paths
+from .coalgebra import Mode
 from .coxeter import ReducedWord
 from .fock import FactorWord, Primitive, TensorTermSum
 
@@ -116,6 +123,33 @@ def character(t: TorusPoint, i: int, j: int) -> complex:
     return complex(t.values[i - 2]).conjugate() * complex(t.values[i - 1])
 
 
+_ONE_LETTER = {
+    # q = 0
+    True: {
+        (0, 0): FactorWord((Primitive.SHIFT,)),
+        (1, 1): FactorWord((Primitive.COSHIFT,)),
+        (0, 1): FactorWord((Primitive.PROJ0,)),
+        (1, 0): FactorWord((Primitive.PROJ0,)),
+    },
+    # q > 0
+    False: {
+        (0, 0): FactorWord((Primitive.SHIFT, Primitive.DIAG_SQRTW)),
+        (1, 1): FactorWord((Primitive.DIAG_SQRTW, Primitive.COSHIFT)),
+        (0, 1): FactorWord((Primitive.DIAG_QN1,), scalar=-1.0),
+        (1, 0): FactorWord((Primitive.DIAG_QN,)),
+    },
+}
+_IDENTITY_WORD = FactorWord(())
+IMAGE_CACHE_SIZE = 4096
+
+
+def _cell(letter: int, i: int, j: int, crystal: bool) -> FactorWord | None:
+    word = _ONE_LETTER[crystal].get((i - letter, j - letter))
+    if word is None and i == j:
+        return _IDENTITY_WORD
+    return word
+
+
 def simple_generator_image(
     letter: int, i: int, j: int, q: float, n: int
 ) -> FactorWord | None:
@@ -124,26 +158,47 @@ def simple_generator_image(
         raise ValueError(f"letter {letter} out of range for rank {n}")
     if not (1 <= i <= n + 1 and 1 <= j <= n + 1):
         raise ValueError(f"matrix index ({i},{j}) out of range for n={n}")
-    r = letter
-    if q == 0.0:
-        cells = {
-            (r, r): FactorWord((Primitive.SHIFT,)),
-            (r + 1, r + 1): FactorWord((Primitive.COSHIFT,)),
-            (r, r + 1): FactorWord((Primitive.PROJ0,)),
-            (r + 1, r): FactorWord((Primitive.PROJ0,)),
-        }
-    else:
-        cells = {
-            (r, r): FactorWord((Primitive.SHIFT, Primitive.DIAG_SQRTW)),
-            (r + 1, r + 1): FactorWord((Primitive.DIAG_SQRTW, Primitive.COSHIFT)),
-            (r, r + 1): FactorWord((Primitive.DIAG_QN1,), scalar=-1.0),
-            (r + 1, r): FactorWord((Primitive.DIAG_QN,)),
-        }
-    if (i, j) in cells:
-        return cells[(i, j)]
-    if i == j:
-        return FactorWord(())
-    return None
+    return _cell(letter, i, j, q == 0.0)
+
+
+@functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def image_words(
+    letters: tuple[int | None, ...], i: int, j: int, n: int, crystal: bool
+) -> tuple[tuple[FactorWord, ...], ...]:
+    """Factor-word tuples of the live coproduct paths from i to j.
+
+    The path is expanded leg by leg through the nonzero cells of each letter,
+    next nodes in ascending order, so the tuples come out in lexicographic
+    path order and a path through a vanishing cell is never built.  In crystal
+    mode the steps stay weakly monotone from i towards j.  A ``None`` letter is
+    a leg collapsed by the counit: the node stays and no word is emitted.
+
+    >>> [[w.factors for w in ws] for ws in image_words((1, 2), 1, 3, 2, True)]
+    [[(<Primitive.PROJ0: 'P0'>,), (<Primitive.PROJ0: 'P0'>,)]]
+    >>> len(image_words((1, 2, 1), 1, 1, 2, False))
+    2
+    >>> [[w.factors for w in ws] for ws in image_words((None, 1), 2, 1, 2, True)]
+    [[(<Primitive.PROJ0: 'P0'>,)]]
+    """
+    if not (1 <= i <= n + 1 and 1 <= j <= n + 1):
+        raise ValueError(f"matrix index ({i},{j}) out of range for n={n}")
+    toward = (j > i) - (j < i)
+    steps = sorted({0, toward}) if crystal else (-1, 0, 1)
+    partial: list[tuple[int, tuple[FactorWord, ...]]] = [(i, ())]
+    for m, letter in enumerate(letters):
+        left = len(letters) - 1 - m
+        grown = []
+        for a, words in partial:
+            for b in (a,) if letter is None else [a + s for s in steps]:
+                # a leg moves the node by at most one: farther nodes never reach j
+                if abs(b - j) > left:
+                    continue
+                if letter is None:
+                    grown.append((b, words))
+                elif (word := _cell(letter, a, b, crystal)) is not None:
+                    grown.append((b, words + (word,)))
+        partial = grown
+    return tuple(words for b, words in partial if b == j)
 
 
 def rep_image(spec: RepSpec, i: int, j: int) -> TensorTermSum:
@@ -152,23 +207,11 @@ def rep_image(spec: RepSpec, i: int, j: int) -> TensorTermSum:
     The torus character collapses the first coproduct leg to the scalar
     chi_t(z_{i,i}); each surviving path contributes one factor word per letter.
     """
-    L = len(spec.word.letters)
     coeff = character(spec.t, i, i)
-    if L == 0:
-        if i != j:
-            return TensorTermSum.zero(0, spec.q)
-        return TensorTermSum(0, spec.q, ((character(spec.t, i, j), ()),))
-    terms = []
-    for path in coproduct_paths(i, j, L, spec.n, spec.mode):
-        words = []
-        for m, letter in enumerate(spec.word.letters):
-            w = simple_generator_image(letter, path[m], path[m + 1], spec.q, spec.n)
-            if w is None:
-                break
-            words.append(w)
-        else:
-            terms.append((coeff, tuple(words)))
-    return TensorTermSum(L, spec.q, tuple(terms))
+    words = image_words(spec.word.letters, i, j, spec.n, spec.q == 0.0)
+    return TensorTermSum(
+        len(spec.word.letters), spec.q, tuple((coeff, ws) for ws in words)
+    )
 
 
 def scaling_constant(k: int, j: int, q: float) -> complex:

@@ -9,6 +9,7 @@ from qcrystal.coalgebra import (
     coproduct_paths,
     delete_legs,
     is_monotone,
+    stepwise_paths,
 )
 
 
@@ -62,6 +63,11 @@ def test_coassociativity_of_iterated_paths(mode):
                 for legs in (1, 2, 3, 4):
                     left = Counter(expand_paths_recursive(i, j, legs, n, mode, True))
                     right = Counter(expand_paths_recursive(i, j, legs, n, mode, False))
+                    # the verify suite's oracle is the same recursion
+                    for leftward in (True, False):
+                        assert stepwise_paths(
+                            i, j, legs, n, mode, leftward
+                        ) == expand_paths_recursive(i, j, legs, n, mode, leftward)
                     direct = Counter(coproduct_paths(i, j, legs, n, mode))
                     assert left == right == direct
                     assert all(c == 1 for c in direct.values())
@@ -73,6 +79,10 @@ def test_path_counts():
     assert len(coproduct_paths(1, 2, 3, 2, "generic")) == 9
     with pytest.raises(ValueError):
         coproduct_paths(1, 1, 0, 2, "crystal")
+    with pytest.raises(ValueError):
+        stepwise_paths(1, 1, 0, 2, "crystal", True)
+    with pytest.raises(ValueError):
+        stepwise_paths(1, 4, 1, 2, "generic", True)
 
 
 def test_paths_deterministic_order():

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from qcrystal import crystal
+from qcrystal.coalgebra import coproduct_paths
 from qcrystal.coxeter import (
     Permutation,
     ReducedWord,
@@ -29,8 +31,16 @@ from qcrystal.crystal import (
     recover_torus_label,
     subword_embedding,
 )
-from qcrystal.fock import _largest_singular_value, norm_bounds, section
-from qcrystal.reps import RepSpec, TorusPoint, character, rep_image, scaled_rep_image
+from qcrystal.fock import TensorTermSum, _largest_singular_value, norm_bounds, section
+from qcrystal.reps import (
+    RepSpec,
+    TorusPoint,
+    character,
+    image_words,
+    rep_image,
+    scaled_rep_image,
+    simple_generator_image,
+)
 
 W0_WORD = ReducedWord((1, 2, 1), 2)
 ONE = ReducedWord((1,), 2)
@@ -235,6 +245,51 @@ def test_factorization_over_s3(q):
             assert report.max_residual <= 1e-12
             checked += 1
     assert checked == 19  # number of comparable pairs in S_3
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3])
+def test_factorization_check_catches_a_dropped_term(monkeypatch, q):
+    # the collapsed and direct images share one builder; a defect in the
+    # direct image must still surface in both verdicts
+    real = crystal.rep_image
+
+    def lossy(spec, i, j):
+        ts = real(spec, i, j)
+        if (i, j) == (1, 1):
+            return TensorTermSum(ts.slots, ts.q, ts.terms[1:])
+        return ts
+
+    monkeypatch.setattr(crystal, "rep_image", lossy)
+    w0 = longest_permutation(2)
+    report = factorization_check(w0, w0, q, 4)
+    assert report.term_sums_equal is False
+    assert report.passed is False
+
+
+def test_factorization_collapse_matches_leg_deletion_oracle():
+    # counit legs in the builder are the paths of w constant on deleted legs
+    for n in (2, 3):
+        perms = [Permutation(p) for p in itertools.permutations(range(1, n + 2))]
+        w = longest_permutation(n)
+        full = normal_form(w).letters()
+        for u in perms:
+            kept = subword_embedding(u, w)
+            letters = tuple(r if p in kept else None for p, r in enumerate(full, 1))
+            for q in (0.0, 0.3):
+                mode = "crystal" if q == 0.0 else "generic"
+                for i, j in generator_indices(n):
+                    want = []
+                    for path in coproduct_paths(i, j, len(full), n, mode):
+                        if any(path[p - 1] != path[p] for p in range(1, len(full) + 1)
+                               if p not in kept):
+                            continue
+                        words = [
+                            simple_generator_image(full[p - 1], path[p - 1], path[p], q, n)
+                            for p in kept
+                        ]
+                        if None not in words:
+                            want.append(tuple(words))
+                    assert image_words(letters, i, j, n, q == 0.0) == tuple(want)
 
 
 def test_factorization_report_fields():

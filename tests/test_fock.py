@@ -9,6 +9,7 @@ import pytest
 from qcrystal.fock import (
     APPLY_MAX_DIM,
     SECTION_MAX_DIM,
+    WORD_COLUMNS_CACHE_MAX_D,
     FactorWord,
     Primitive,
     TensorTermSum,
@@ -19,6 +20,7 @@ from qcrystal.fock import (
     primitive_step,
     section,
     _largest_singular_value,
+    _word_columns,
 )
 
 S = Primitive.SHIFT
@@ -142,6 +144,19 @@ def test_apply_is_linear_in_terms():
     assert combined == {k: v for k, v in separate.items() if v != 0}
     with pytest.raises(ValueError):
         apply(a, (1, 2))
+
+
+def test_word_columns_are_read_only_on_both_sides_of_the_cache_bound():
+    word = FactorWord((SQ, SS, QN))
+    d = WORD_COLUMNS_CACHE_MAX_D
+    small = _word_columns(word, d, 0.3)
+    large = _word_columns(word, d + 5, 0.3)
+    assert _word_columns(word, d, 0.3) is small  # cached
+    assert _word_columns(word, d + 5, 0.3) is not large  # beyond the bound
+    for arr in small + large:
+        assert not arr.flags.writeable
+    assert np.array_equal(large[0][:d], small[0])
+    assert np.array_equal(large[1][:d], small[1])
 
 
 def test_section_structure():

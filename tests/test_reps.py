@@ -1,17 +1,21 @@
 """Representation layer: characters, one-letter tables, path-sum images."""
 
 import cmath
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
-from qcrystal.coxeter import ReducedWord
-from qcrystal.fock import FactorWord, Primitive, section
+from qcrystal.coalgebra import coproduct_paths
+from qcrystal.coxeter import Permutation, ReducedWord, longest_word, reduced_word
+from qcrystal.fock import FactorWord, Primitive, TensorTermSum, section
 from qcrystal.reps import (
     RepSpec,
     TorusPoint,
     character,
+    image_words,
     rep_image,
     scaled_rep_image,
     scaling_constant,
@@ -196,3 +200,65 @@ def test_unitarity_residuals_vanish_for_positive_q(word):
 def test_unitarity_rejected_at_crystal_point():
     with pytest.raises(ValueError):
         unitarity_residuals(spec2(0.0, [1]), 1, 1)
+
+
+def oracle_rep_image(spec, i, j):
+    """The path-enumeration image: every coproduct path, dead ones discarded."""
+    L = len(spec.word.letters)
+    coeff = character(spec.t, i, i)
+    if L == 0:
+        if i != j:
+            return TensorTermSum.zero(0, spec.q)
+        return TensorTermSum(0, spec.q, ((character(spec.t, i, j), ()),))
+    terms = []
+    for path in coproduct_paths(i, j, L, spec.n, spec.mode):
+        words = []
+        for m, letter in enumerate(spec.word.letters):
+            w = simple_generator_image(letter, path[m], path[m + 1], spec.q, spec.n)
+            if w is None:
+                break
+            words.append(w)
+        else:
+            terms.append((coeff, tuple(words)))
+    return TensorTermSum(L, spec.q, tuple(terms))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rep_image_matches_path_enumeration_oracle(n):
+    points = [
+        TorusPoint.base(n),
+        TorusPoint(tuple(cmath.exp(0.4j * (k + 1) - 0.3j) for k in range(n))),
+    ]
+    checked = 0
+    for images in itertools.permutations(range(1, n + 2)):
+        word = reduced_word(Permutation(images))
+        for q in (0.0, 0.3):
+            for t in points:
+                spec = RepSpec(n, q, t, word)
+                for i in range(1, n + 2):
+                    for j in range(1, n + 2):
+                        got = rep_image(spec, i, j)
+                        want = oracle_rep_image(spec, i, j)
+                        assert got == want, (word, q, t, i, j)
+                        assert got.terms == want.terms
+                        checked += 1
+    assert checked == math.factorial(n + 1) * 2 * 2 * (n + 1) ** 2
+    with pytest.raises(ValueError):
+        rep_image(RepSpec(n, 0.3, points[0], word), 1, n + 2)
+
+
+def test_rank_four_longest_word_images_build_fast():
+    # path enumeration took about 20 s for one such entry (1.95M paths)
+    word = longest_word(4).word()
+    image_words.cache_clear()
+    start = time.perf_counter()
+    images = {
+        (q, i, j): rep_image(RepSpec(4, q, TorusPoint.base(4), word), i, j)
+        for q in (0.0, 0.3)
+        for i in range(1, 6)
+        for j in range(1, 6)
+    }
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert len(images[(0.3, 1, 1)].terms) == 14
+    assert len(images[(0.0, 1, 1)].terms) == 1
