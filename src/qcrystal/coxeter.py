@@ -7,9 +7,14 @@ right, so ``[1, 2, 1]`` means s1*s2*s1 with s1 applied last to a point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
+
+# memo bounds: S_6 has 720 elements, so rank 5 fits whole
+NORMAL_FORM_CACHE_SIZE = 1024
+INTERVAL_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True, order=True)
@@ -197,8 +202,9 @@ def _segment_permutation(a: int, b: int, n: int) -> Permutation:
     return Permutation.from_word(tuple(range(b, a - 1, -1)), n)
 
 
+@functools.lru_cache(maxsize=NORMAL_FORM_CACHE_SIZE)
 def normal_form(w: Permutation) -> NormalForm:
-    """Staircase normal form of a permutation.
+    """Staircase normal form of a permutation, memoized (both are frozen).
 
     Peels the rightmost segment: the largest moved point is b+1, and it sits at
     position a; dividing by s_b..s_a strictly shrinks the moved range, so the
@@ -229,11 +235,25 @@ def reduced_word(w: Permutation) -> ReducedWord:
     return normal_form(w).word()
 
 
-def bruhat_leq(u: Permutation, w: Permutation) -> bool:
-    """Bruhat order test via the subword property.
+@functools.lru_cache(maxsize=INTERVAL_CACHE_SIZE)
+def lower_interval(w: Permutation) -> frozenset[Permutation]:
+    """The Bruhat lower interval [e, w], by the subword property, memoized.
 
     Walks one fixed reduced word of ``w`` keeping the set of all products of
-    subwords of the prefix; that set is exactly the lower interval of ``w``.
+    subwords of the prefix; at the end that set is exactly the lower interval.
+
+    >>> sorted(u.images for u in lower_interval(Permutation((2, 3, 1))))
+    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1)]
+    """
+    reachable = {Permutation.identity(w.n)}
+    for r in normal_form(w).letters():
+        s = Permutation.simple(r, w.n)
+        reachable |= {x * s for x in reachable}
+    return frozenset(reachable)
+
+
+def bruhat_leq(u: Permutation, w: Permutation) -> bool:
+    """Bruhat order test: membership in the memoized ``lower_interval(w)``.
 
     >>> s1 = Permutation.simple(1, 2); w0 = Permutation((3, 2, 1))
     >>> bruhat_leq(s1, w0), bruhat_leq(w0, s1)
@@ -241,11 +261,7 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """
     if len(u.images) != len(w.images):
         raise ValueError("rank mismatch in Bruhat comparison")
-    reachable = {Permutation.identity(w.n)}
-    for r in normal_form(w).letters():
-        s = Permutation.simple(r, w.n)
-        reachable |= {x * s for x in reachable}
-    return u in reachable
+    return u in lower_interval(w)
 
 
 def reduced_words(w: Permutation, budget: int = 100_000) -> list[ReducedWord]:

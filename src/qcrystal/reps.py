@@ -19,7 +19,7 @@ concretely is a sum over coproduct index paths with one factor word per slot.
 Only those cells are nonzero, so ``image_words`` expands a path leg by leg
 through them (at q = 0 only weakly monotone towards the target) instead of
 enumerating all (n+1)^(L-1) generic paths and discarding the dead ones.  The
-word tuples depend on q only through q == 0; they are memoized on
+word tuples depend on q only through q == 0; ``image_words`` memoizes them on
 (letters, i, j, n, q == 0) and each image is rebuilt with its torus character.
 """
 
@@ -161,8 +161,7 @@ def simple_generator_image(
     return _cell(letter, i, j, q == 0.0)
 
 
-@functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
-def image_words(
+def build_image_words(
     letters: tuple[int | None, ...], i: int, j: int, n: int, crystal: bool
 ) -> tuple[tuple[FactorWord, ...], ...]:
     """Factor-word tuples of the live coproduct paths from i to j.
@@ -172,6 +171,8 @@ def image_words(
     path order and a path through a vanishing cell is never built.  In crystal
     mode the steps stay weakly monotone from i towards j.  A ``None`` letter is
     a leg collapsed by the counit: the node stays and no word is emitted.
+    ``image_words`` is this builder memoized; callers whose keys do not
+    recur call the builder directly, so they do not evict reusable entries.
 
     >>> [[w.factors for w in ws] for ws in image_words((1, 2), 1, 3, 2, True)]
     [[(<Primitive.PROJ0: 'P0'>,), (<Primitive.PROJ0: 'P0'>,)]]
@@ -199,6 +200,9 @@ def image_words(
                     grown.append((b, words + (word,)))
         partial = grown
     return tuple(words for b, words in partial if b == j)
+
+
+image_words = functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)(build_image_words)
 
 
 def rep_image(spec: RepSpec, i: int, j: int) -> TensorTermSum:

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end."""
 
 import json
+import time
 
 import pytest
 
@@ -116,6 +117,21 @@ def test_verify_rank_three(tmp_path):
     report = json.loads(out.read_text())
     assert report["config"]["d"] == 4
     assert report["passed"] is True
+
+
+@pytest.mark.slow
+def test_verify_rank4_passes(tmp_path):
+    out = tmp_path / "n4.json"
+    start = time.perf_counter()
+    assert main(["verify", "--n", "4", "--out", str(out)]) == 0
+    elapsed = time.perf_counter() - start
+    report = json.loads(out.read_text())
+    assert report["passed"] is True
+    names = set(report["suites"])
+    assert names == {"braid", "coassociativity", "factorization", "kernel", "unitarity"}
+    for suite in report["suites"].values():
+        assert suite["passed"] is True
+    assert elapsed < 30.0  # about 12 s on a 2-vCPU machine
 
 
 def test_spectrum_graph_fiber(capsys):

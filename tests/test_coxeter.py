@@ -1,9 +1,12 @@
 """Combinatorics layer: words, normal forms, Bruhat order."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
+from qcrystal.cli import main
 from qcrystal.coxeter import (
     NormalForm,
     Permutation,
@@ -11,6 +14,7 @@ from qcrystal.coxeter import (
     bruhat_leq,
     longest_permutation,
     longest_word,
+    lower_interval,
     maximal_subword_words,
     maximal_subwords_of_longest,
     normal_form,
@@ -107,6 +111,32 @@ def test_bruhat_matches_subword_oracle(n):
     for u in perms:
         for w in perms:
             assert bruhat_leq(u, w) == bruhat_leq_oracle(u, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lower_interval_matches_subword_oracle(n):
+    perms = all_permutations(n)
+    for w in perms:
+        interval = lower_interval(w)
+        assert isinstance(interval, frozenset)
+        assert interval == {u for u in perms if bruhat_leq_oracle(u, w)}
+
+
+def test_memos_are_bounded():
+    assert lower_interval.cache_info().maxsize is not None
+    assert normal_form.cache_info().maxsize is not None
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_spectrum_graph_matches_recorded_reference(n, capsys):
+    argv = ["spectrum-graph", "--n", str(n), "--reduce", "--format", "json"]
+    recorded = json.loads((REFERENCE / f"spectrum_n{n}.json").read_text())
+    case = recorded["cases"][" ".join(argv)]
+    assert main(argv) == case["rc"] == 0
+    assert json.loads(capsys.readouterr().out) == case["report"]
 
 
 def test_bruhat_order_axioms():

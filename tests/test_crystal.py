@@ -31,7 +31,15 @@ from qcrystal.crystal import (
     recover_torus_label,
     subword_embedding,
 )
-from qcrystal.fock import TensorTermSum, _largest_singular_value, norm_bounds, section
+from qcrystal.cli import default_dim
+from qcrystal.fock import (
+    FactorWord,
+    Primitive,
+    TensorTermSum,
+    _largest_singular_value,
+    norm_bounds,
+    section,
+)
 from qcrystal.reps import (
     RepSpec,
     TorusPoint,
@@ -263,6 +271,84 @@ def test_factorization_check_catches_a_dropped_term(monkeypatch, q):
     w0 = longest_permutation(2)
     report = factorization_check(w0, w0, q, 4)
     assert report.term_sums_equal is False
+    assert report.passed is False
+
+
+def _factorization_oracle(u, w, q, d):
+    """The loop without the equal-sum shortcut: both sections for every entry."""
+    n = w.n
+    t = TorusPoint.base(n)
+    kept = subword_embedding(u, w)
+    full = normal_form(w).letters()
+    u_spec = RepSpec(n, q, t, ReducedWord(tuple(full[p - 1] for p in kept), n))
+    letters = tuple(r if p in kept else None for p, r in enumerate(full, 1))
+    worst, equal = 0.0, True
+    for i, j in generator_indices(n):
+        direct = rep_image(u_spec, i, j)
+        words = image_words(letters, i, j, n, q == 0.0)
+        coeff = character(t, i, i)
+        collapsed = TensorTermSum(len(kept), q, tuple((coeff, ws) for ws in words))
+        equal = equal and collapsed == direct
+        residual = np.abs(section(collapsed, d) - section(direct, d))
+        worst = max(worst, float(residual.max()))
+    return worst, equal
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_factorization_shortcut_matches_always_section_oracle(n):
+    perms = [Permutation(p) for p in itertools.permutations(range(1, n + 2))]
+    checked = 0
+    for q in (0.0, 0.3):
+        for w in perms:
+            # the section size the verify suite uses for this w
+            d = default_dim(n) if n <= 2 or w.length() <= 4 else 2
+            for u in perms:
+                if not bruhat_leq(u, w):
+                    continue
+                report = factorization_check(u, w, q, d)
+                worst, equal = _factorization_oracle(u, w, q, d)
+                assert report.max_residual == worst
+                assert report.term_sums_equal is equal
+                checked += 1
+    assert checked > 0
+
+
+def _with_extra_z11_term(monkeypatch, coshifts):
+    # adds COSHIFT^coshifts in slot 0 to the direct image of z_{1,1}
+    real = crystal.rep_image
+
+    def padded(spec, i, j):
+        ts = real(spec, i, j)
+        if (i, j) != (1, 1):
+            return ts
+        words = (FactorWord((Primitive.COSHIFT,) * coshifts),)
+        words += (FactorWord(()),) * (ts.slots - 1)
+        return TensorTermSum(ts.slots, ts.q, ts.terms + ((1.0, words),))
+
+    monkeypatch.setattr(crystal, "rep_image", padded)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3])
+def test_factorization_unequal_sums_still_compare_sections(monkeypatch, q):
+    # the extra term maps every index m to m + d, outside the d-box: the sums
+    # differ, so the sections are compared, and they agree
+    d = 4
+    _with_extra_z11_term(monkeypatch, d)
+    w0 = longest_permutation(2)
+    report = factorization_check(w0, w0, q, d)
+    assert report.term_sums_equal is False
+    assert report.max_residual == 0.0
+    assert report.passed is True
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3])
+def test_factorization_catches_a_term_visible_in_the_box(monkeypatch, q):
+    d = 4
+    _with_extra_z11_term(monkeypatch, d - 1)  # maps 0 to d - 1, inside the box
+    w0 = longest_permutation(2)
+    report = factorization_check(w0, w0, q, d)
+    assert report.term_sums_equal is False
+    assert report.max_residual == 1.0
     assert report.passed is False
 
 
